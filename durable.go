@@ -135,9 +135,11 @@ func mustOpen(options ...OpenOption) Querier {
 
 // ShardedEngine scales durable top-k evaluation horizontally: contiguous
 // time-range shards, one independent engine per shard over a zero-copy
-// dataset view, queries fanned out on a bounded worker pool and merged with
-// exact handling of records whose durability window straddles shard
-// boundaries. Results are identical to Engine over the same dataset.
+// dataset view, queries fanned out on a bounded worker pool. Records whose
+// durability window straddles shard boundaries are evaluated over the
+// straddle region by probing the shards' own indexes and merging their
+// top-k lists, never by building an index per query. Results are identical
+// to Engine over the same dataset.
 type ShardedEngine = core.ShardedEngine
 
 // ShardOptions configures time sharding: shard count, fan-out worker pool
@@ -210,8 +212,8 @@ func NewLive(d int, opts Options, live LiveOptions) (*LiveEngine, error) {
 type LiveShardedEngine = core.LiveShardedEngine
 
 // LiveShardOptions configures the seal/freeze lifecycle: the tail's seal
-// thresholds (rows and/or time span), the query fan-out pool, and straddler
-// handling.
+// thresholds (rows and/or time span), the query fan-out pool, compaction
+// and retention.
 type LiveShardOptions = core.LiveShardOptions
 
 // DefaultSealRows is the tail seal threshold used when LiveShardOptions sets

@@ -59,7 +59,13 @@ func (e *LiveShardedEngine) findSealedLocked(lo, hi int) (int, bool) {
 // planCompactionLocked returns the start index of the leftmost run of
 // CompactFanout adjacent sealed shards sharing a level. Leftmost-first keeps
 // merges oldest-history-first, so cascades promote bottom-up (a completed
-// merge can immediately complete a run one level up). Caller holds mu.
+// merge can immediately complete a run one level up). With retention on, a
+// run whose merged arrivals would span more than half of RetainSpan is
+// skipped: retention retires whole shards, so an unbounded merge would hold
+// rows far past their horizon (a shard spanning more than RetainSpan could
+// not retire until all its rows aged out), and whether anything retired
+// would depend on how far the compactor lagged the appender. Capped merges
+// keep the overshoot under half a retention window. Caller holds mu.
 func (e *LiveShardedEngine) planCompactionLocked() (int, bool) {
 	f := e.so.CompactFanout
 	if f < 2 {
@@ -69,7 +75,12 @@ func (e *LiveShardedEngine) planCompactionLocked() (int, bool) {
 	for i := 1; i < len(e.sealed); i++ {
 		if e.sealed[i].level == e.sealed[i-1].level {
 			if run++; run == f {
-				return i - f + 1, true
+				start := i - f + 1
+				if e.so.RetainSpan <= 0 ||
+					e.global.Time(e.sealed[i].hi-1)-e.global.Time(e.sealed[start].lo) <= e.so.RetainSpan/2 {
+					return start, true
+				}
+				run-- // too wide: slide the run one shard right
 			}
 		} else {
 			run = 1

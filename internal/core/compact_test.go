@@ -343,7 +343,7 @@ func TestRetireEverythingThenResume(t *testing.T) {
 func TestCompactionRaceStress(t *testing.T) {
 	const n = 3000
 	lse := compactLSE(t, 1, LiveShardOptions{
-		SealRows: 16, CompactFanout: 2, RetainSpan: 2000, StraddleThreshold: 1,
+		SealRows: 16, CompactFanout: 2, RetainSpan: 2000,
 	})
 	s := score.MustLinear(1)
 	// Seed rows so queriers never observe an empty engine.

@@ -127,12 +127,11 @@ func runDifferentialTrial(t *testing.T, seed int64) {
 	eng := NewEngine(ds, testEngineOpts())
 	sharded := make([]*ShardedEngine, len(diffShardCounts))
 	for i, count := range diffShardCounts {
-		// Alternate strategy and straddle path so both get coverage.
-		sharded[i] = NewShardedEngine(ds, testEngineOpts(), ShardOptions{
-			Shards:            count,
-			Workers:           1 + rng.Intn(3),
-			Strategy:          ShardStrategy(rng.Intn(2)),
-			StraddleThreshold: []int{1, 16, 1 << 30}[rng.Intn(3)],
+		// Alternate partitioning and shard block kind so each gets coverage.
+		workers := 1 + rng.Intn(3)
+		strategy := ShardStrategy(rng.Intn(2))
+		sharded[i] = NewShardedEngine(ds, blockKindOpts(rng.Intn(numBlockKinds)), ShardOptions{
+			Shards: count, Workers: workers, Strategy: strategy,
 		})
 	}
 
@@ -175,9 +174,27 @@ func runDifferentialTrial(t *testing.T, seed int64) {
 		return q
 	}
 
-	for qi := 0; qi < 7; qi++ {
+	// widen stretches tau to one to three times the widest shard of a random
+	// sharded engine, so every record straddles and windows span three or
+	// more shards.
+	widen := func(q Query) Query {
+		width := int64(0)
+		for _, in := range sharded[rng.Intn(len(sharded))].Shards() {
+			width = max(width, in.End-in.Start+1)
+		}
+		q.Tau = width * int64(1+rng.Intn(3))
+		if q.Anchor == General {
+			q.Lead = int64(rng.Intn(int(q.Tau) + 1))
+		}
+		return q
+	}
+
+	for qi := 0; qi < 9; qi++ {
 		q := diffQuery(rng, ds)
-		if qi >= 5 {
+		switch {
+		case qi >= 7:
+			q = widen(q)
+		case qi >= 5:
 			q = reachQuery()
 		}
 		q.Scorer = s
@@ -203,12 +220,19 @@ func runDifferentialTrial(t *testing.T, seed int64) {
 			}
 		}
 		for i, se := range sharded {
-			res, err := se.DurableTopK(q)
-			if err != nil {
-				t.Fatalf("seed %d: shards=%d: %v", seed, diffShardCounts[i], err)
-			}
-			if got := res.IDs(); !(len(got) == 0 && len(want) == 0) && !reflect.DeepEqual(got, want) {
-				fail(fmt.Sprintf("sharded-%d", se.NumShards()), q, got, want)
+			for _, alg := range append([]Algorithm{Auto}, Algorithms()...) {
+				sub := q
+				sub.Algorithm = alg
+				if q.Anchor == General && q.Lead > 0 && q.Lead < q.Tau && (alg == TBase || alg == SBand) {
+					continue
+				}
+				res, err := se.DurableTopK(sub)
+				if err != nil {
+					t.Fatalf("seed %d: shards=%d %v: %v", seed, diffShardCounts[i], alg, err)
+				}
+				if got := res.IDs(); !(len(got) == 0 && len(want) == 0) && !reflect.DeepEqual(got, want) {
+					fail(fmt.Sprintf("sharded-%d/%v", se.NumShards(), alg), q, got, want)
+				}
 			}
 		}
 	}
@@ -221,7 +245,7 @@ func runDifferentialTrial(t *testing.T, seed int64) {
 // queries interleaved at every batch boundary — each answer compared
 // record-for-record (ID, time, score, durations) against a batch Engine
 // built fresh over exactly the prefix appended so far, across all five
-// strategies and both straddler paths. Most trials also run background
+// strategies and every shard block kind. Most trials also run background
 // compaction, so queries land on epochs mid-merge and just after level
 // swaps.
 func runLiveShardedDifferentialTrial(t *testing.T, seed int64) {
@@ -232,9 +256,10 @@ func runLiveShardedDifferentialTrial(t *testing.T, seed int64) {
 	ds := diffDataset(rng, flavor, n, d)
 	s := randScorer(rng, d)
 
+	workers := 1 + rng.Intn(3)
+	opts := blockKindOpts(rng.Intn(numBlockKinds))
 	so := LiveShardOptions{
-		Workers:           1 + rng.Intn(3),
-		StraddleThreshold: []int{1, 16, 1 << 30}[rng.Intn(3)],
+		Workers: workers,
 		// Background compaction on two trials out of three: merges race the
 		// interleaved queries below, so answers are checked against epochs
 		// before, during and after level swaps. (No RetainSpan here — the
@@ -247,7 +272,7 @@ func runLiveShardedDifferentialTrial(t *testing.T, seed int64) {
 	} else {
 		so.SealSpan = 1 + int64(rng.Intn(int(ds.TimeSpan())+2))
 	}
-	lse, err := NewLiveShardedEngine(d, testEngineOpts(), LiveOptions{}, so)
+	lse, err := NewLiveShardedEngine(d, opts, LiveOptions{}, so)
 	if err != nil {
 		t.Fatal(err)
 	}

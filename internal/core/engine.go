@@ -98,6 +98,12 @@ type probe struct {
 	sc  *topk.Scratch
 	buf []topk.Item
 	a   arena
+
+	// span, spanDS and spanV back the straddle-region view of a sharded
+	// query (see spanView); kept here so re-pointing them allocates nothing.
+	span   spanBlock
+	spanDS data.Dataset
+	spanV  view
 }
 
 var probePool = sync.Pool{New: func() interface{} { return new(probe) }}
@@ -111,6 +117,9 @@ func newProbe() *probe {
 func (pr *probe) release() {
 	topk.PutScratch(pr.sc)
 	pr.sc = nil
+	// Drop the span's references so a pooled probe pins no shard epoch.
+	pr.span.g, pr.span.ds = nil, nil
+	pr.spanDS, pr.spanV = data.Dataset{}, view{}
 	probePool.Put(pr)
 }
 
@@ -380,7 +389,6 @@ func (e *Engine) DurableTopK(q Query) (*Result, error) {
 		// Mid-anchored window: only the anchor-generic variants apply
 		// (already enforced by checkAlgorithm).
 	}
-	general := runQ.Anchor == General
 
 	// One probe's worth of working memory serves the whole evaluation: every
 	// building-block call below — strategy probes and duration searches —
@@ -390,31 +398,11 @@ func (e *Engine) DurableTopK(q Query) (*Result, error) {
 
 	st := Stats{Algorithm: alg}
 	startAt := time.Now()
-	var ids []int32
-	switch alg {
-	case TBase:
-		ids = runTBase(v, pr, runQ, &st)
-	case THop:
-		if general {
-			ids = runTHopAnchored(v, pr, runQ, &st)
-		} else {
-			ids = runTHop(v, pr, runQ, &st)
-		}
-	case SBase:
-		if general {
-			ids = runSBaseAnchored(v, runQ, &st)
-		} else {
-			ids = runSBase(v, runQ, &st)
-		}
-	case SBand:
-		ids = runSBand(v, pr, e.skyLadder(skyAnchor, v), runQ, &st)
-	case SHop:
-		if general {
-			ids = runSHopAnchored(v, pr, runQ, &st)
-		} else {
-			ids = runSHop(v, pr, runQ, &st)
-		}
+	var ld *skyband.Ladder
+	if alg == SBand {
+		ld = e.skyLadder(skyAnchor, v)
 	}
+	ids := runStrategy(v, pr, ld, alg, runQ, &st)
 	st.Elapsed = time.Since(startAt)
 
 	res := &Result{Stats: st}
@@ -450,6 +438,37 @@ func (e *Engine) DurableTopK(q Query) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// runStrategy evaluates q with strategy alg over view v and returns the
+// durable record ids of v in ascending order. q's anchor is already
+// normalized: LookBack runs the specialized strategies, General (any Lead)
+// the anchor-generic variants; ld is the skyband ladder S-Band needs (nil
+// for any other strategy). The ids may live in pr's arena — consume them
+// before pr's next evaluation.
+func runStrategy(v *view, pr *probe, ld *skyband.Ladder, alg Algorithm, q Query, st *Stats) []int32 {
+	general := q.Anchor == General
+	switch alg {
+	case TBase:
+		return runTBase(v, pr, q, st)
+	case THop:
+		if general {
+			return runTHopAnchored(v, pr, q, st)
+		}
+		return runTHop(v, pr, q, st)
+	case SBase:
+		if general {
+			return runSBaseAnchored(v, q, st)
+		}
+		return runSBase(v, q, st)
+	case SBand:
+		return runSBand(v, pr, ld, q, st)
+	default:
+		if general {
+			return runSHopAnchored(v, pr, q, st)
+		}
+		return runSHop(v, pr, q, st)
+	}
 }
 
 // MaxDuration returns the largest tau for which record id stays in the

@@ -181,14 +181,13 @@ func FuzzLiveShardedAppend(f *testing.F) {
 		} else {
 			so.SealRows = int(sealRaw%12) + 1
 		}
-		if cfg&32 != 0 {
-			so.StraddleThreshold = 1 // transient straddle-region engines
-		} else {
-			so.StraddleThreshold = 1 << 30 // per-record cross-shard probes
-		}
 		s := score.MustLinear(1)
 		opts := Options{Index: topk.Options{LengthThreshold: 4}}
-		lse, err := NewLiveShardedEngine(1, opts, LiveOptions{}, so)
+		lseOpts := opts
+		if cfg&32 != 0 {
+			lseOpts = blockKindOpts(blockPlainRMQ) // sealed shards behind a Block-only block
+		}
+		lse, err := NewLiveShardedEngine(1, lseOpts, LiveOptions{}, so)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,16 +272,19 @@ func FuzzCompaction(f *testing.F) {
 		tau := int64(tauRaw)
 		every := int(cfg%8) + 1
 		so := LiveShardOptions{
-			SealRows:          int(sealRaw%6) + 1,
-			CompactFanout:     2 + int(cfg>>4&3),
-			StraddleThreshold: []int{1, 1 << 30}[int(cfg>>3&1)],
+			SealRows:      int(sealRaw%6) + 1,
+			CompactFanout: 2 + int(cfg>>4&3),
 		}
 		if cfg&64 != 0 {
 			so.RetainSpan = 8 + int64(tauRaw%32)
 		}
 		s := score.MustLinear(1)
 		opts := Options{Index: topk.Options{LengthThreshold: 4}}
-		lse, err := NewLiveShardedEngine(1, opts, LiveOptions{}, so)
+		lseOpts := opts
+		if cfg&8 != 0 {
+			lseOpts = blockKindOpts(blockPlainRMQ) // sealed shards behind a Block-only block
+		}
+		lse, err := NewLiveShardedEngine(1, lseOpts, LiveOptions{}, so)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,15 +407,18 @@ func FuzzShardedQuery(f *testing.F) {
 		if cfg&1 != 0 {
 			anchor = LookAhead
 		}
-		straddle := 1 << 30 // per-record cross-shard probes
+		kind := blockTree
 		if cfg&2 != 0 {
-			straddle = 1 // transient straddle-region engines
+			kind = blockPlainRMQ
 		}
-		se := NewShardedEngine(ds, Options{Index: topk.Options{LengthThreshold: 4}}, ShardOptions{
-			Shards:            int(shardRaw%20) + 1,
-			Workers:           int(cfg>>2&3) + 1,
-			Strategy:          ShardStrategy(cfg >> 4 & 1),
-			StraddleThreshold: straddle,
+		seOpts := blockKindOpts(kind)
+		if kind == blockTree {
+			seOpts = Options{Index: topk.Options{LengthThreshold: 4}}
+		}
+		se := NewShardedEngine(ds, seOpts, ShardOptions{
+			Shards:   int(shardRaw%20) + 1,
+			Workers:  int(cfg>>2&3) + 1,
+			Strategy: ShardStrategy(cfg >> 4 & 1),
 		})
 
 		// The interval: pinned exactly onto a shard-boundary arrival (the
@@ -470,20 +475,25 @@ func FuzzShardedQuery(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := se.DurableTopK(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := res.IDs()
-		if len(got) == 0 && len(want) == 0 {
-			return
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("sharded (shards=%d straddle=%d) vs oracle: k=%d tau=%d I=[%d,%d] anchor=%v n=%d\n got %v\nwant %v",
-				se.NumShards(), straddle, k, tau, start, end, anchor, ds.Len(), got, want)
-		}
-		if !reflect.DeepEqual(got, single.IDs()) {
-			t.Fatalf("sharded vs single engine: got %v want %v", got, single.IDs())
+		// Every strategy, so look-ahead T-Base and S-Band straddlers (run as
+		// S-Hop over the span block) are covered too.
+		for _, alg := range append([]Algorithm{Auto}, Algorithms()...) {
+			q.Algorithm = alg
+			res, err := se.DurableTopK(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := res.IDs()
+			if len(got) == 0 && len(want) == 0 {
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("sharded %v (shards=%d block=%d) vs oracle: k=%d tau=%d I=[%d,%d] anchor=%v n=%d\n got %v\nwant %v",
+					alg, se.NumShards(), kind, k, tau, start, end, anchor, ds.Len(), got, want)
+			}
+			if !reflect.DeepEqual(got, single.IDs()) {
+				t.Fatalf("sharded %v vs single engine: got %v want %v", alg, got, single.IDs())
+			}
 		}
 	})
 }

@@ -26,9 +26,6 @@ type LiveShardOptions struct {
 	// Workers bounds the per-query shard fan-out pool; <= 0 selects
 	// min(shard count, GOMAXPROCS) per query.
 	Workers int
-	// StraddleThreshold tunes boundary-straddler handling exactly as in
-	// ShardOptions; 0 selects the default.
-	StraddleThreshold int
 	// CompactFanout, when >= 2, enables background LSM compaction: every run
 	// of CompactFanout adjacent sealed shards sharing a level is merged into
 	// one shard at the next level (see compact.go), bounding the live shard
@@ -38,7 +35,9 @@ type LiveShardOptions struct {
 	// RetainSpan, when > 0, bounds retention: after each seal, sealed shards
 	// whose every arrival is older than (latest arrival − RetainSpan) ticks
 	// are retired — removed whole from every future query epoch, so answers
-	// match a batch engine over the retained suffix. 0 retains everything.
+	// match a batch engine over the retained suffix. With compaction on,
+	// merged shards stop growing at half of RetainSpan, so rows outlive their
+	// horizon by at most that much. 0 retains everything.
 	RetainSpan int64
 	// OnSeal, when set, is invoked after every tail seal with the half-open
 	// global row range [lo, hi) that was frozen. It runs with the engine's
@@ -71,7 +70,7 @@ const DefaultSealRows = 4096
 // Engine shard over a zero-copy slice of the global storage, while a fresh
 // empty tail takes the appends.
 // Queries fan out over the sealed shards plus the tail with the exact
-// straddler/higher-count merge, reach-based shard routing and per-shard score
+// span-block straddler evaluation, reach-based shard routing and per-shard score
 // upper-bound pruning of ShardedEngine — the tail participates through an
 // append-stable snapshot (its score bounds are re-derived per epoch, so an
 // append can never leave a stale bound behind).
@@ -426,13 +425,11 @@ func (e *LiveShardedEngine) snapshotEpoch() *shardGroup {
 		return nil
 	}
 	e.group = &shardGroup{
-		ds:       e.global.Prefix(n),
-		opts:     e.opts,
-		workers:  resolveShardWorkers(e.so.Workers, len(shards)),
-		straddle: resolveStraddle(e.so.StraddleThreshold),
-		shards:   shards,
-		seq:      e.seq,
-		pc:       e.pc,
+		ds:      e.global.Prefix(n),
+		workers: resolveShardWorkers(e.so.Workers, len(shards)),
+		shards:  shards,
+		seq:     e.seq,
+		pc:      e.pc,
 	}
 	e.groupSeq = e.seq
 	return e.group

@@ -56,7 +56,7 @@ func TestShardPruningNarrowInterval(t *testing.T) {
 // exactly on a shard boundary arrival (and one tick to either side) — the
 // alignments where an off-by-one in reach arithmetic would flip a verdict —
 // and requires bit-identical answers to the oracle and the single engine,
-// on both straddler paths.
+// with shards over the tree index and over a Block-only RMQ block.
 func TestShardPruningBoundaryReach(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 6; trial++ {
@@ -64,10 +64,10 @@ func TestShardPruningBoundaryReach(t *testing.T) {
 		ds := randDataset(rng, n, 1, trial%2 == 0)
 		s := randScorer(rng, 1)
 		eng := NewEngine(ds, testEngineOpts())
-		for _, straddle := range []int{1, 1 << 30} {
-			se := NewShardedEngine(ds, testEngineOpts(), ShardOptions{
+		for _, kind := range []int{blockTree, blockPlainRMQ} {
+			se := NewShardedEngine(ds, blockKindOpts(kind), ShardOptions{
 				Shards: 2 + rng.Intn(6), Workers: 1 + rng.Intn(3),
-				Strategy: ShardStrategy(trial % 2), StraddleThreshold: straddle,
+				Strategy: ShardStrategy(trial % 2),
 			})
 			infos := se.Shards()
 			pruned := 0
@@ -92,8 +92,8 @@ func TestShardPruningBoundaryReach(t *testing.T) {
 							t.Fatal(err)
 						}
 						if got := res.IDs(); !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
-							t.Fatalf("trial=%d straddle=%d boundary=%d dt=%d anchor=%v k=%d tau=%d I=[%d,%d]:\n got %v\nwant %v",
-								trial, straddle, bi, dt, anchor, q.K, q.Tau, q.Start, q.End, got, want)
+							t.Fatalf("trial=%d block=%d boundary=%d dt=%d anchor=%v k=%d tau=%d I=[%d,%d]:\n got %v\nwant %v",
+								trial, kind, bi, dt, anchor, q.K, q.Tau, q.Start, q.End, got, want)
 						}
 						single, err := eng.DurableTopK(q)
 						if err != nil {
@@ -108,7 +108,7 @@ func TestShardPruningBoundaryReach(t *testing.T) {
 				}
 			}
 			if len(infos) > 2 && pruned == 0 {
-				t.Fatalf("trial=%d straddle=%d: boundary sweep never pruned a shard", trial, straddle)
+				t.Fatalf("trial=%d block=%d: boundary sweep never pruned a shard", trial, kind)
 			}
 		}
 	}

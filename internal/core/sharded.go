@@ -58,16 +58,7 @@ type ShardOptions struct {
 	Workers int
 	// Strategy picks the partitioning rule: ByCount (default) or ByTimeSpan.
 	Strategy ShardStrategy
-	// StraddleThreshold tunes boundary handling: a shard's boundary
-	// straddlers (records whose durability window crosses into a
-	// neighboring shard) are answered by per-record cross-shard probes when
-	// they number at most the threshold, and by a transient engine over the
-	// straddle region otherwise. 0 selects the default (128). Mostly a test
-	// knob; both paths are exact.
-	StraddleThreshold int
 }
-
-const defaultStraddleThreshold = 128
 
 // timeShard is one contiguous partition of the parent dataset: records
 // [lo, hi) served by an independent engine over a zero-copy slice view.
@@ -133,11 +124,9 @@ type ShardInfo struct {
 // append or a seal changes the shard set. Queries therefore always evaluate
 // against a coherent frozen epoch, no matter how the lifecycle moves on.
 type shardGroup struct {
-	ds       *data.Dataset
-	opts     Options
-	workers  int
-	straddle int
-	shards   []timeShard
+	ds      *data.Dataset
+	workers int
+	shards  []timeShard
 
 	// pc, when non-nil, caches interior answers of immutable shards across
 	// queries (and, for the live lifecycle, across epochs — sealed rows never
@@ -178,10 +167,10 @@ var (
 // verdict depends only on its own anchored window: records whose window lies
 // entirely inside their shard are answered by the shard engine alone, while
 // boundary straddlers — records whose window crosses a shard edge — are
-// answered across shards, either by summing per-shard strictly-higher counts
-// (capped at k per shard, which keeps the sum exact for the >= k test) or by
-// a transient engine over the straddle region. Every record is therefore
-// decided exactly once, never once per shard.
+// answered by running the query's strategy over the straddle region through
+// a span block that probes the overlapped shards' own indexes and merges
+// their top-k lists (see spanBlock), so no index is built per query. Every
+// record is therefore decided exactly once, never once per shard.
 //
 // Safe for concurrent queries, like Engine.
 type ShardedEngine struct {
@@ -200,9 +189,8 @@ func NewShardedEngine(ds *data.Dataset, opts Options, so ShardOptions) *ShardedE
 	workers := resolveShardWorkers(so.Workers, count)
 	se := &ShardedEngine{
 		group: shardGroup{
-			ds: ds, opts: opts, workers: workers,
-			straddle: resolveStraddle(so.StraddleThreshold),
-			shards:   make([]timeShard, count),
+			ds: ds, workers: workers,
+			shards: make([]timeShard, count),
 		},
 		strategy: so.Strategy,
 	}
@@ -236,14 +224,6 @@ func resolveShardWorkers(workers, count int) int {
 		workers = 1
 	}
 	return workers
-}
-
-// resolveStraddle applies the ShardOptions.StraddleThreshold default rule.
-func resolveStraddle(straddle int) int {
-	if straddle <= 0 {
-		return defaultStraddleThreshold
-	}
-	return straddle
 }
 
 // shardCuts returns ascending record-index cut points partitioning [0, n)
@@ -465,8 +445,9 @@ func (g *shardGroup) DurableTopK(q Query) (*Result, error) {
 	// may well overlap I without any arrival landing in it). Records beyond
 	// I still influence answers, but only as blocking evidence inside some
 	// window [t-back, t+lead]; that evidence is fetched by targeted
-	// cross-shard probes (higherCount), never by visiting the shard, so the
-	// pruning is exact. Skipped shards are tallied in Stats.ShardsPruned.
+	// cross-shard probes (the straddlers' span block, higherCount), never by
+	// visiting the shard, so the pruning is exact. Skipped shards are
+	// tallied in Stats.ShardsPruned.
 	// Pruning every shard (I between two shards' arrivals, or inside a
 	// just-sealed empty tail) legitimately yields an empty answer.
 	qlo, qhi := g.ds.IndexRange(q.Start, q.End)
@@ -476,8 +457,6 @@ func (g *shardGroup) DurableTopK(q Query) (*Result, error) {
 			tasks = append(tasks, i)
 		}
 	}
-	sb := &shardBounds{}
-
 	// Resolve the scorer's canonical form once per query; shards reuse it for
 	// their interior cache keys. Scorers without a canonical form (and
 	// engines without an attached cache) evaluate everything as before.
@@ -494,7 +473,7 @@ func (g *shardGroup) DurableTopK(q Query) (*Result, error) {
 	if workers <= 1 {
 		pr := newProbe()
 		for ti, si := range tasks {
-			parts[ti] = g.evalShard(pr, sb, si, &q, scorerKey, back, lead, qlo, qhi)
+			parts[ti] = g.evalShard(pr, si, &q, scorerKey, back, lead, qlo, qhi)
 		}
 		pr.release()
 	} else {
@@ -507,7 +486,7 @@ func (g *shardGroup) DurableTopK(q Query) (*Result, error) {
 				pr := newProbe()
 				defer pr.release()
 				for ti := range feed {
-					parts[ti] = g.evalShard(pr, sb, tasks[ti], &q, scorerKey, back, lead, qlo, qhi)
+					parts[ti] = g.evalShard(pr, tasks[ti], &q, scorerKey, back, lead, qlo, qhi)
 				}
 			}()
 		}
@@ -542,6 +521,7 @@ func (g *shardGroup) DurableTopK(q Query) (*Result, error) {
 	}
 
 	if q.WithDurations {
+		sb := &shardBounds{}
 		ahead := q.Anchor == LookAhead || (q.Anchor == General && q.Tau > 0 && q.Lead == q.Tau)
 		// The duration binary searches are the most expensive per-record
 		// step; stride them over the same worker budget as the fan-out,
@@ -584,7 +564,7 @@ func (g *shardGroup) DurableTopK(q Query) (*Result, error) {
 // evalShard answers the query restricted to one shard's records. Interior
 // records (whole window inside the shard) go through the shard engine;
 // boundary straddlers are decided across shards.
-func (g *shardGroup) evalShard(pr *probe, sb *shardBounds, si int, q *Query, scorerKey string, back, lead int64, qlo, qhi int) shardPart {
+func (g *shardGroup) evalShard(pr *probe, si int, q *Query, scorerKey string, back, lead int64, qlo, qhi int) shardPart {
 	var part shardPart
 	sh := &g.shards[si]
 	subLo, subHi := max(qlo, sh.lo), min(qhi, sh.hi)
@@ -608,10 +588,7 @@ func (g *shardGroup) evalShard(pr *probe, sb *shardBounds, si int, q *Query, sco
 		iHi = clampInt(g.ds.UpperBound(maxT), iLo, subHi)
 	}
 
-	g.evalStraddlers(pr, sb, &part, q, back, lead, subLo, iLo)
-	if part.err != nil {
-		return part
-	}
+	g.evalStraddlers(pr, &part, q, back, lead, subLo, iLo)
 	if iLo < iHi {
 		// The interior answer depends only on the shard's own rows plus the
 		// key parameters ([Time(iLo), Time(iHi-1)] is derived from rows of
@@ -629,7 +606,7 @@ func (g *shardGroup) evalShard(pr *probe, sb *shardBounds, si int, q *Query, sco
 			}
 			if ids, ok := g.pc.GetPartial(pkey); ok {
 				part.ids = append(part.ids, ids...)
-				g.evalStraddlers(pr, sb, &part, q, back, lead, iHi, subHi)
+				g.evalStraddlers(pr, &part, q, back, lead, iHi, subHi)
 				return part
 			}
 		}
@@ -655,7 +632,7 @@ func (g *shardGroup) evalShard(pr *probe, sb *shardBounds, si int, q *Query, sco
 		}
 		addStats(&part.st, &res.Stats)
 	}
-	g.evalStraddlers(pr, sb, &part, q, back, lead, iHi, subHi)
+	g.evalStraddlers(pr, &part, q, back, lead, iHi, subHi)
 	return part
 }
 
@@ -668,64 +645,40 @@ func addStats(dst, src *Stats) {
 	dst.ShardsPruned += src.ShardsPruned
 }
 
-// evalStraddlers decides the boundary records in [lo, hi): small runs by
-// per-record cross-shard probes, large runs by a transient engine over the
-// straddle region — every record of every straddler's window, reached
-// through a zero-copy slice, so the run is answered by the hop machinery at
-// answer-proportional cost instead of per-record probing. Both paths are
-// exact.
-func (g *shardGroup) evalStraddlers(pr *probe, sb *shardBounds, part *shardPart, q *Query, back, lead int64, lo, hi int) {
+// evalStraddlers decides the boundary records in [lo, hi) by running the
+// query's strategy over the straddle region — the union of the straddlers'
+// windows, contiguous because windows are anchored to sorted arrivals —
+// through the probe's span block, which answers every building-block probe
+// from the overlapped shards' own indexes. The anchor is normalized for the
+// forward view: look-back stays look-back, and any window reaching past the
+// arrival (look-ahead included, as Lead = Tau) runs the general-anchor
+// variants, so no reversed index is ever needed. T-Base and S-Band run as
+// S-Hop, which gives the same answer: neither has a general-anchor variant,
+// and S-Band's skyband ladder would have to be built over the region per
+// query.
+func (g *shardGroup) evalStraddlers(pr *probe, part *shardPart, q *Query, back, lead int64, lo, hi int) {
 	if lo >= hi {
 		return
 	}
-	if hi-lo <= g.straddle {
-		for i := lo; i < hi; i++ {
-			part.st.Visited++
-			if g.durableAt(pr, sb, &part.st, q, back, lead, i) {
-				part.ids = append(part.ids, int32(i))
-			}
-		}
-		return
-	}
-
-	// Region = union of the straddlers' windows; contiguous because windows
-	// are anchored to sorted arrivals. Clamped below to the first live
-	// shard's lo: rows retired by retention are not evidence, and letting
-	// the transient engine read them would resurrect retired rows into
-	// verdicts the probe path (which only visits live shards) excludes.
-	rlo := g.ds.LowerBound(satSub(g.ds.Time(lo), back))
-	if rlo < g.shards[0].lo {
-		rlo = g.shards[0].lo
-	}
+	// The region is clamped below to the first live shard's lo: rows retired
+	// by retention are not evidence.
+	rlo := max(g.ds.LowerBound(satSub(g.ds.Time(lo), back)), g.shards[0].lo)
 	rhi := g.ds.UpperBound(satAdd(g.ds.Time(hi-1), lead))
 	sub := *q
 	sub.Start, sub.End = g.ds.Time(lo), g.ds.Time(hi-1)
-	sub.WithDurations = false
-	if sub.Algorithm == SBand {
-		// S-Band amortizes a skyband ladder across queries; on a transient
-		// engine that build is pure overhead, so hop instead.
-		sub.Algorithm = SHop
+	sub.Anchor, sub.Lead = General, lead
+	if lead == 0 {
+		sub.Anchor = LookBack
 	}
-	mini := NewEngine(g.ds.Slice(rlo, rhi), g.opts)
-	res, err := mini.DurableTopK(sub)
-	if err != nil {
-		part.err = err
-		return
+	alg := q.Algorithm
+	if alg == TBase || alg == SBand {
+		alg = SHop
 	}
-	for _, r := range res.Records {
-		part.ids = append(part.ids, int32(rlo+r.ID))
+	var st Stats
+	for _, id := range runStrategy(pr.spanView(g, rlo, rhi), pr, nil, alg, sub, &st) {
+		part.ids = append(part.ids, int32(rlo)+id)
 	}
-	addStats(&part.st, &res.Stats)
-}
-
-// durableAt decides one record from the definition: durable iff fewer than k
-// records of its anchored window score strictly higher, counted across every
-// overlapped shard.
-func (g *shardGroup) durableAt(pr *probe, sb *shardBounds, st *Stats, q *Query, back, lead int64, i int) bool {
-	t := g.ds.Time(i)
-	wlo, whi := g.ds.IndexRange(satSub(t, back), satAdd(t, lead))
-	ref := q.Scorer.Score(g.ds.Attrs(i))
-	return g.higherCount(pr, sb, st, q.Scorer, q.K, wlo, whi, ref) < q.K
+	addStats(&part.st, &st)
 }
 
 // higherCount returns min(h, k) where h is the number of records in the

@@ -6,16 +6,42 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/data"
+	"repro/internal/rmq"
 	"repro/internal/score"
 	"repro/internal/topk"
 )
 
-func testShardOpts(shards int, strategy ShardStrategy, straddle int) ShardOptions {
-	return ShardOptions{Shards: shards, Workers: 2, Strategy: strategy, StraddleThreshold: straddle}
+func testShardOpts(shards int, strategy ShardStrategy) ShardOptions {
+	return ShardOptions{Shards: shards, Workers: 2, Strategy: strategy}
 }
 
 func testEngineOpts() Options {
 	return Options{Index: topk.Options{LengthThreshold: 8, MaxNodeSkyline: 8}}
+}
+
+// plainBlock hides a block's ScratchBlock capability, so engines over it
+// take the Block-only probe path (the block answers into its own slices).
+type plainBlock struct{ Block }
+
+// Building-block kinds the sharded tests run shard engines over: the span
+// block that answers straddlers must merge any of them exactly.
+const (
+	blockTree     = iota // default topk tree index (ScratchBlock)
+	blockRMQ             // rmq.Block (ScratchBlock)
+	blockPlainRMQ        // rmq.Block behind plainBlock (Block only)
+	numBlockKinds
+)
+
+// blockKindOpts returns engine options building the given block kind.
+func blockKindOpts(kind int) Options {
+	switch kind {
+	case blockRMQ:
+		return Options{NewBlock: func(ds *data.Dataset) Block { return rmq.NewBlock(ds) }}
+	case blockPlainRMQ:
+		return Options{NewBlock: func(ds *data.Dataset) Block { return plainBlock{rmq.NewBlock(ds)} }}
+	}
+	return testEngineOpts()
 }
 
 // TestShardCuts checks the partition invariants of both strategies: cuts
@@ -45,7 +71,8 @@ func TestShardCuts(t *testing.T) {
 }
 
 // TestShardedMatchesBruteForce drives the sharded engine across shard
-// counts, strategies, straddle paths and anchors against the oracle.
+// counts, partitioning strategies, shard block kinds and anchors against the
+// oracle.
 func TestShardedMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 25; trial++ {
@@ -73,8 +100,8 @@ func TestShardedMatchesBruteForce(t *testing.T) {
 				want = BruteForce(ds, s, k, tau, start, end, anchor)
 			}
 			for _, shards := range []int{1, 2, 7, 16} {
-				for _, straddle := range []int{1 << 30, 1} { // per-record probes vs transient engines
-					se := NewShardedEngine(ds, testEngineOpts(), testShardOpts(shards, ShardStrategy(trial%2), straddle))
+				for _, kind := range []int{blockTree, blockPlainRMQ} {
+					se := NewShardedEngine(ds, blockKindOpts(kind), testShardOpts(shards, ShardStrategy(trial%2)))
 					res, err := se.DurableTopK(Query{
 						K: k, Tau: tau, Lead: lead, Start: start, End: end,
 						Scorer: s, Anchor: anchor,
@@ -87,8 +114,8 @@ func TestShardedMatchesBruteForce(t *testing.T) {
 						continue
 					}
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("trial %d shards=%d straddle=%d anchor=%v k=%d tau=%d lead=%d I=[%d,%d] n=%d:\n got %v\nwant %v",
-							trial, shards, straddle, anchor, k, tau, lead, start, end, n, got, want)
+						t.Fatalf("trial %d shards=%d block=%d anchor=%v k=%d tau=%d lead=%d I=[%d,%d] n=%d:\n got %v\nwant %v",
+							trial, shards, kind, anchor, k, tau, lead, start, end, n, got, want)
 					}
 				}
 			}
@@ -106,7 +133,7 @@ func TestShardedBoundaryAnchors(t *testing.T) {
 	s := randScorer(rng, 2)
 	for _, shards := range []int{2, 4, 7} {
 		for _, strategy := range []ShardStrategy{ByCount, ByTimeSpan} {
-			se := NewShardedEngine(ds, testEngineOpts(), testShardOpts(shards, strategy, 4))
+			se := NewShardedEngine(ds, testEngineOpts(), testShardOpts(shards, strategy))
 			eng := NewEngine(ds, testEngineOpts())
 			infos := se.Shards()
 			type qcase struct {
@@ -146,6 +173,111 @@ func TestShardedBoundaryAnchors(t *testing.T) {
 	}
 }
 
+// TestShardedWideWindows pins the straddle-heavy geometry: tau at least the
+// time width of the widest shard, so every record straddles a boundary and
+// windows span three or more shards. Every strategy and anchor — look-ahead
+// T-Base and S-Band included, which straddle regions evaluate as S-Hop —
+// must match the single engine record for record, over every shard block
+// kind.
+func TestShardedWideWindows(t *testing.T) {
+	rng := rand.New(rand.NewSource(808))
+	for trial := 0; trial < 4; trial++ {
+		ds := randDataset(rng, 200+rng.Intn(200), 2, trial%2 == 0)
+		s := randScorer(rng, 2)
+		eng := NewEngine(ds, testEngineOpts())
+		lo, hi := ds.Span()
+		for kind := 0; kind < numBlockKinds; kind++ {
+			se := NewShardedEngine(ds, blockKindOpts(kind), testShardOpts(8, ShardStrategy(trial%2)))
+			width := int64(0)
+			for _, in := range se.Shards() {
+				width = max(width, in.End-in.Start+1)
+			}
+			for _, mult := range []int64{1, 2, 3} {
+				tau := mult*width + int64(rng.Intn(5))
+				start := lo + int64(rng.Intn(int(hi-lo)/2+1))
+				end := min(hi, start+(hi-lo)/2)
+				for _, anchor := range []Anchor{LookBack, LookAhead, General} {
+					lead := int64(0)
+					if anchor == General {
+						lead = tau / 3
+					}
+					for _, alg := range Algorithms() {
+						if anchor == General && (alg == TBase || alg == SBand) {
+							continue // mid-anchored: rejected by contract
+						}
+						q := Query{K: 1 + rng.Intn(4), Tau: tau, Lead: lead, Start: start, End: end,
+							Scorer: s, Anchor: anchor, Algorithm: alg}
+						want, err := eng.DurableTopK(q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := se.DurableTopK(q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(got.Records, want.Records) {
+							t.Fatalf("trial=%d block=%d %v %v k=%d tau=%d (shard width %d) lead=%d I=[%d,%d]:\n got %v\nwant %v",
+								trial, kind, alg, anchor, q.K, tau, width, lead, start, end, got.IDs(), want.IDs())
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStraddleSpanZeroAllocs extends the arena criterion of
+// TestRunSHopZeroAllocs to sharded straddlers: once the probe is warm, a
+// straddle-region evaluation — span view set-up, S-Hop over the span block,
+// per-shard index probes and their merge — performs zero allocations, and
+// still answers like the single engine.
+func TestStraddleSpanZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	ds := randDataset(rng, 4096, 2, false)
+	se := NewShardedEngine(ds, Options{}, ShardOptions{Shards: 8, Workers: 1})
+	g := &se.group
+	lo, hi := ds.Span()
+	q := Query{K: 10, Tau: (hi - lo) / 12, Start: lo, End: hi, Scorer: score.MustLinear(0.3, 0.7), Algorithm: SHop}
+	back, lead := windowSides(&q)
+	// The straddlers of shard 3: its rows whose look-back window reaches
+	// into shard 2, so span probes merge lists from both shards.
+	sLo := g.shards[3].lo
+	sHi := ds.LowerBound(ds.Time(sLo-1) + back + 1)
+	if sHi-sLo < 100 {
+		t.Fatalf("only %d straddlers; pick a wider tau", sHi-sLo)
+	}
+	pr := newProbe()
+	defer pr.release()
+	var part shardPart
+	for i := 0; i < 5; i++ {
+		part = shardPart{ids: part.ids[:0]}
+		g.evalStraddlers(pr, &part, &q, back, lead, sLo, sHi)
+	}
+	sub := q
+	sub.Start, sub.End = ds.Time(sLo), ds.Time(sHi-1)
+	want, err := NewEngine(ds, Options{}).DurableTopK(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]int, len(part.ids))
+	for i, id := range part.ids {
+		got[i] = int(id)
+	}
+	if len(got) == 0 || !reflect.DeepEqual(got, want.IDs()) {
+		t.Fatalf("straddlers answered %v, single engine %v", got, want.IDs())
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		part = shardPart{ids: part.ids[:0]}
+		g.evalStraddlers(pr, &part, &q, back, lead, sLo, sHi)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state straddle evaluation allocates %.1f times, want 0", allocs)
+	}
+	if len(part.ids) != len(got) {
+		t.Fatalf("steady-state answer drifted: %d records, want %d", len(part.ids), len(got))
+	}
+}
+
 // TestShardedWithDurations compares per-record maximum durabilities against
 // the single-engine evaluation on both anchors.
 func TestShardedWithDurations(t *testing.T) {
@@ -154,7 +286,7 @@ func TestShardedWithDurations(t *testing.T) {
 	s := randScorer(rng, 2)
 	lo, hi := ds.Span()
 	eng := NewEngine(ds, testEngineOpts())
-	se := NewShardedEngine(ds, testEngineOpts(), testShardOpts(5, ByCount, 8))
+	se := NewShardedEngine(ds, testEngineOpts(), testShardOpts(5, ByCount))
 	for _, anchor := range []Anchor{LookBack, LookAhead} {
 		q := Query{K: 2, Tau: 30, Start: lo, End: hi, Scorer: s, Anchor: anchor, WithDurations: true}
 		want, err := eng.DurableTopK(q)
@@ -184,7 +316,7 @@ func TestShardedAlgorithmsAndErrors(t *testing.T) {
 	ds := randDataset(rng, 150, 2, false)
 	s := randScorer(rng, 2)
 	lo, hi := ds.Span()
-	se := NewShardedEngine(ds, testEngineOpts(), testShardOpts(4, ByCount, 8))
+	se := NewShardedEngine(ds, testEngineOpts(), testShardOpts(4, ByCount))
 	want := BruteForce(ds, s, 3, 40, lo, hi, LookBack)
 	for _, alg := range Algorithms() {
 		res, err := se.DurableTopK(Query{K: 3, Tau: 40, Start: lo, End: hi, Scorer: s, Algorithm: alg})
@@ -224,7 +356,7 @@ func TestShardedProfileAndExplain(t *testing.T) {
 	ds := randDataset(rng, 160, 2, false)
 	s := randScorer(rng, 2)
 	eng := NewEngine(ds, testEngineOpts())
-	se := NewShardedEngine(ds, testEngineOpts(), testShardOpts(3, ByTimeSpan, 8))
+	se := NewShardedEngine(ds, testEngineOpts(), testShardOpts(3, ByTimeSpan))
 	for _, anchor := range []Anchor{LookBack, LookAhead} {
 		want, err := eng.MostDurable(2, s, anchor, 5)
 		if err != nil {
@@ -256,7 +388,7 @@ func TestShardedConcurrentQueries(t *testing.T) {
 	ds := randDataset(rng, 300, 2, false)
 	s := randScorer(rng, 2)
 	lo, hi := ds.Span()
-	se := NewShardedEngine(ds, testEngineOpts(), testShardOpts(4, ByCount, 4))
+	se := NewShardedEngine(ds, testEngineOpts(), testShardOpts(4, ByCount))
 	wantBack := BruteForce(ds, s, 3, 25, lo, hi, LookBack)
 	wantAhead := BruteForce(ds, s, 3, 25, lo, hi, LookAhead)
 	var wg sync.WaitGroup

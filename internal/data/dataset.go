@@ -336,6 +336,13 @@ func (ds *Dataset) Prefix(n int) *Dataset {
 // (including any slice of an empty appendable dataset) returns an empty,
 // non-nil view — callers iterate zero records instead of dereferencing nil.
 func (ds *Dataset) Slice(lo, hi int) *Dataset {
+	return ds.SliceInto(new(Dataset), lo, hi)
+}
+
+// SliceInto is Slice writing the view into caller-owned dst (returned), so a
+// hot path that re-slices on every call can reuse one header instead of
+// allocating a fresh view each time.
+func (ds *Dataset) SliceInto(dst *Dataset, lo, hi int) *Dataset {
 	if lo < 0 {
 		lo = 0
 	}
@@ -343,10 +350,12 @@ func (ds *Dataset) Slice(lo, hi int) *Dataset {
 		hi = ds.Len()
 	}
 	if lo >= hi {
-		return &Dataset{dims: ds.dims}
+		*dst = Dataset{dims: ds.dims}
+		return dst
 	}
 	d := ds.dims
-	return &Dataset{times: ds.times[lo:hi:hi], flat: ds.flat[lo*d : hi*d : hi*d], dims: d}
+	*dst = Dataset{times: ds.times[lo:hi:hi], flat: ds.flat[lo*d : hi*d : hi*d], dims: d}
+	return dst
 }
 
 // SliceTime returns the zero-copy view (see Slice) over the records whose

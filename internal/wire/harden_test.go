@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -323,5 +324,59 @@ func TestServerErrorRendering(t *testing.T) {
 	_, _, err := cl.Query(Request{Dataset: "nope", QuerySpec: QuerySpec{K: 1, Tau: 1, Weights: []float64{1, 1}}})
 	if err == nil || !strings.Contains(err.Error(), "wire: server: ") {
 		t.Fatalf("server error lost its rendering: %v", err)
+	}
+}
+
+// TestCloseWhileDialing races Close against connections still arriving.
+// Serve registers each accepted connection under the same lock Close takes
+// before draining, so no WaitGroup Add can race Close's Wait (the race
+// detector reports that misuse), Close returns only once every accepted
+// connection is gone, and Serve reports net.ErrClosed.
+func TestCloseWhileDialing(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		srv := NewServer(func(string, ...interface{}) {})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan error, 1)
+		go func() { served <- srv.Serve(ln) }()
+		addr := ln.Addr().String()
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for d := 0; d < 4; d++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if conn, err := net.Dial("tcp", addr); err == nil {
+						conn.Close()
+					}
+				}
+			}()
+		}
+		time.Sleep(time.Duration(round%4) * time.Millisecond)
+		srv.Close()
+		srv.lnMu.Lock()
+		live := len(srv.conns)
+		srv.lnMu.Unlock()
+		if live != 0 {
+			t.Fatalf("round %d: %d connections outlived Close", round, live)
+		}
+		close(stop)
+		wg.Wait()
+		select {
+		case err := <-served:
+			if !errors.Is(err, net.ErrClosed) {
+				t.Fatalf("round %d: Serve returned %v, want net.ErrClosed", round, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: Serve still running after Close", round)
+		}
 	}
 }

@@ -536,12 +536,33 @@ func (s *Server) Serve(ln net.Listener) error {
 		if err != nil {
 			return err
 		}
-		s.wg.Add(1)
+		if !s.track(conn, true) {
+			conn.Close()
+			return net.ErrClosed
+		}
 		go func() {
 			defer s.wg.Done()
-			s.ServeConn(conn)
+			s.serveConn(conn)
 		}()
 	}
+}
+
+// track registers conn so Close can wake it, and for connections accepted by
+// Serve also counts it in the wait group Close drains. Both happen under lnMu
+// after the closed check: Close sets closed under the same lock before its
+// wg.Wait, so no Add can run concurrently with (or after) that Wait. It
+// reports false, registering nothing, once the server is closed.
+func (s *Server) track(conn net.Conn, wait bool) bool {
+	s.lnMu.Lock()
+	defer s.lnMu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.conns[conn] = struct{}{}
+	if wait {
+		s.wg.Add(1)
+	}
+	return true
 }
 
 // Close stops all listeners and shuts down gracefully: connections finish
@@ -573,14 +594,16 @@ func (s *Server) Close() error {
 // out in request order — otherwise one request at a time. Exported so tests
 // and embedders can drive the protocol over net.Pipe.
 func (s *Server) ServeConn(conn net.Conn) {
-	defer conn.Close()
-	s.lnMu.Lock()
-	if s.closed {
-		s.lnMu.Unlock()
+	if !s.track(conn, false) {
+		conn.Close()
 		return
 	}
-	s.conns[conn] = struct{}{}
-	s.lnMu.Unlock()
+	s.serveConn(conn)
+}
+
+// serveConn is ServeConn for a connection track has registered.
+func (s *Server) serveConn(conn net.Conn) {
+	defer conn.Close()
 	defer func() {
 		s.lnMu.Lock()
 		delete(s.conns, conn)
@@ -694,7 +717,7 @@ func concurrentOp(op string) bool {
 // cannot tell the difference (except in latency).
 //
 // The same writer also delivers server-initiated event frames (protocol v2):
-// events from st.events interleave with responses at frame granularity.
+// frames queued on st.events interleave with responses at frame granularity.
 // Events have no ordering contract against responses except one the teardown
 // paths rely on: events enqueued by a request's handler are flushed before
 // that request's response (so an unsubscribe's final truncated confirmations
@@ -730,16 +753,12 @@ func (s *Server) serveConnPipelined(conn net.Conn, sched *serve.Scheduler, st *c
 		}
 		// flushEvents forwards every queued event without blocking.
 		flushEvents := func() bool {
-			for {
-				select {
-				case ev := <-st.events:
-					if !write(ev) {
-						return false
-					}
-				default:
-					return true
+			for ev, ok := st.events.pop(); ok; ev, ok = st.events.pop() {
+				if !write(ev) {
+					return false
 				}
 			}
+			return true
 		}
 		fail := func() {
 			st.dead.Store(true)
@@ -760,8 +779,8 @@ func (s *Server) serveConnPipelined(conn net.Conn, sched *serve.Scheduler, st *c
 				evictConn(conn, st)
 				fail()
 				return
-			case ev := <-st.events:
-				if !write(ev) {
+			case <-st.events.ready:
+				if !flushEvents() {
 					fail()
 					return
 				}
@@ -781,9 +800,9 @@ func (s *Server) serveConnPipelined(conn net.Conn, sched *serve.Scheduler, st *c
 						evictConn(conn, st)
 						fail()
 						return
-					case ev := <-st.events:
+					case <-st.events.ready:
 						// Keep events flowing while a slow handler computes.
-						if !write(ev) {
+						if !flushEvents() {
 							fail()
 							return
 						}

@@ -13,10 +13,13 @@ import (
 	"repro/internal/sub"
 )
 
-// eventQueueDepth bounds how many event frames may be queued per connection
-// awaiting the writer. A subscriber that falls this far behind the append
-// stream is evicted (see connState.pushEvent) rather than silently losing
-// events or stalling appends: every delivered event stream is gap-free.
+// eventQueueDepth bounds how many event frames may be queued per
+// subscription of a connection awaiting the writer — the same per-
+// subscription depth the client buffers — so a connection holding n
+// subscriptions queues up to n·eventQueueDepth frames. A subscriber that
+// falls this far behind the append stream is evicted (see
+// connState.pushEvent) rather than silently losing events or stalling
+// appends: every delivered event stream is gap-free.
 const eventQueueDepth = 1024
 
 // evictGrace bounds how long an eviction spends delivering the queued
@@ -45,7 +48,7 @@ type connState struct {
 	// which interleaves them with responses at frame granularity. Mostly
 	// *Event; a resume handler also routes its acknowledgment *Response
 	// through here so the ack precedes the replay backlog on one FIFO.
-	events chan interface{}
+	events frameQueue
 	// evict signals the writer (buffered, never blocks) that pushEvent
 	// overflowed: deliver the backlog and the terminal evicted frames, then
 	// close. Only the CAS winner on dead sends, so one signal per life.
@@ -55,9 +58,9 @@ type connState struct {
 	dead atomic.Bool
 
 	// mu guards the subscription table and progress map. Registry emit
-	// closures take it only for the progress update in pushEvent; no code
-	// path acquires the registry lock while holding mu, so the registry-lock
-	// → mu order in emit closures cannot deadlock.
+	// closures take it only in pushEvent (queue bound and progress update);
+	// no code path acquires the registry lock while holding mu, so the
+	// registry-lock → mu order in emit closures cannot deadlock.
 	mu      sync.Mutex
 	nextSub uint64
 	subs    map[uint64]connSub
@@ -86,10 +89,67 @@ type connSub struct {
 
 func newConnState() *connState {
 	return &connState{
-		events: make(chan interface{}, eventQueueDepth),
+		events: frameQueue{ready: make(chan struct{}, 1)},
 		evict:  make(chan struct{}, 1),
 		subs:   make(map[uint64]connSub),
 	}
+}
+
+// frameQueue is a connection's FIFO of server-initiated frames: a buffered
+// channel whose bound is chosen per push, so it can grow with the
+// connection's subscriptions. Emitters push without blocking; the
+// connection's writer, its only consumer, waits on ready and pops frames one
+// at a time, so — as with a channel — a frame counts against the bound until
+// the writer is about to write it.
+type frameQueue struct {
+	mu     sync.Mutex
+	frames []interface{} // frames[head:] are queued, oldest first
+	head   int
+	ready  chan struct{} // holds a token while frames may be queued
+}
+
+// push appends frame unless limit frames are already queued.
+func (q *frameQueue) push(frame interface{}, limit int) bool {
+	q.mu.Lock()
+	if len(q.frames)-q.head >= limit {
+		q.mu.Unlock()
+		return false
+	}
+	if q.head > 0 && q.head >= len(q.frames)/2 {
+		// At least half the backing is consumed: slide the live frames
+		// down instead of growing.
+		n := copy(q.frames, q.frames[q.head:])
+		clear(q.frames[n:])
+		q.frames, q.head = q.frames[:n], 0
+	}
+	q.frames = append(q.frames, frame)
+	q.mu.Unlock()
+	select {
+	case q.ready <- struct{}{}:
+	default:
+	}
+	return true
+}
+
+// pop removes and returns the oldest queued frame.
+func (q *frameQueue) pop() (interface{}, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.head == len(q.frames) {
+		return nil, false
+	}
+	f := q.frames[q.head]
+	q.frames[q.head] = nil
+	q.head++
+	return f, true
+}
+
+// queueLimitLocked is the connection's event-queue bound: eventQueueDepth
+// per subscription, and one subscription's worth while none is registered
+// (a backfilling subscribe or resume queues its backlog before it joins the
+// table). Caller holds st.mu.
+func (st *connState) queueLimitLocked() int {
+	return eventQueueDepth * max(1, len(st.subs))
 }
 
 // respDeferred is the sentinel a handler returns when it already routed its
@@ -105,12 +165,9 @@ func (st *connState) pushFrame(frame interface{}) bool {
 	if st.dead.Load() {
 		return false
 	}
-	select {
-	case st.events <- frame:
-		return true
-	default:
-		return false
-	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.events.push(frame, st.queueLimitLocked())
 }
 
 // pushEvent enqueues one event frame for the connection's writer without
@@ -125,20 +182,22 @@ func (st *connState) pushEvent(ev *Event, conn net.Conn, logf func(string, ...in
 	if st.dead.Load() {
 		return
 	}
-	select {
-	case st.events <- ev:
-		st.mu.Lock()
+	st.mu.Lock()
+	limit := st.queueLimitLocked()
+	queued := st.events.push(ev, limit)
+	if queued {
 		if st.progress == nil {
 			st.progress = make(map[uint64]subProgress)
 		}
 		st.progress[ev.SubID] = subProgress{seq: ev.Seq, prefix: ev.Prefix}
-		st.mu.Unlock()
-	default:
+	}
+	st.mu.Unlock()
+	if !queued {
 		if !st.dead.CompareAndSwap(false, true) {
 			return
 		}
 		if logf != nil {
-			logf("wire: %s: subscriber fell %d events behind; evicting", conn.RemoteAddr(), eventQueueDepth)
+			logf("wire: %s: subscriber fell %d events behind; evicting", conn.RemoteAddr(), limit)
 		}
 		select {
 		case st.evict <- struct{}{}:
@@ -159,16 +218,10 @@ func (st *connState) pushEvent(ev *Event, conn net.Conn, logf func(string, ...in
 func evictConn(conn net.Conn, st *connState) {
 	defer conn.Close()
 	conn.SetWriteDeadline(time.Now().Add(evictGrace))
-	for {
-		select {
-		case ev := <-st.events:
-			if err := WriteFrame(conn, ev); err != nil {
-				return
-			}
-			continue
-		default:
+	for ev, ok := st.events.pop(); ok; ev, ok = st.events.pop() {
+		if err := WriteFrame(conn, ev); err != nil {
+			return
 		}
-		break
 	}
 	st.mu.Lock()
 	type evicted struct {

@@ -491,6 +491,35 @@ func TestFollowerResumesGapFree(t *testing.T) {
 	t.Logf("gap-free through %d prefixes across %d reconnects", total, f.Reconnects())
 }
 
+// TestEventQueueScalesWithSubscriptions pins the event-queue bound: a
+// connection queues eventQueueDepth frames per subscription it holds — what
+// the client buffers per subscription — and the next frame evicts.
+func TestEventQueueScalesWithSubscriptions(t *testing.T) {
+	const subs = 3
+	st := newConnState()
+	for id := uint64(1); id <= subs; id++ {
+		st.subs[id] = connSub{}
+	}
+	p1, p2 := net.Pipe()
+	defer p1.Close()
+	defer p2.Close()
+	for i := 0; i < subs*eventQueueDepth; i++ {
+		st.pushEvent(&Event{V: Version2, Event: EventSub, SubID: uint64(1 + i%subs), Seq: uint64(i/subs + 1)}, p1, nil)
+		if st.dead.Load() {
+			t.Fatalf("evicted after %d frames; the bound is %d", i+1, subs*eventQueueDepth)
+		}
+	}
+	st.pushEvent(&Event{V: Version2, Event: EventSub, SubID: 1, Seq: eventQueueDepth + 1}, p1, nil)
+	if !st.dead.Load() {
+		t.Fatal("a frame past the bound did not evict")
+	}
+	select {
+	case <-st.evict:
+	default:
+		t.Fatal("eviction was not signalled to the writer")
+	}
+}
+
 // TestEvictConnUnit drives the eviction writer directly: queued events drain
 // in order, every live subscription gets its terminal frame (ordered by id),
 // and the connection closes.
@@ -502,7 +531,7 @@ func TestEvictConnUnit(t *testing.T) {
 		st.progress = map[uint64]subProgress{
 			1: {seq: uint64(i), prefix: i},
 		}
-		st.events <- &Event{V: Version2, Event: EventSub, SubID: 1, Seq: uint64(i), Prefix: i}
+		st.events.push(&Event{V: Version2, Event: EventSub, SubID: 1, Seq: uint64(i), Prefix: i}, eventQueueDepth)
 	}
 	st.progress[2] = subProgress{seq: 7, prefix: 9}
 	st.dead.Store(true)
